@@ -13,7 +13,33 @@ import numpy as np
 from repro._validation import check_probability
 from repro.models.base import GenerativeModel
 
-__all__ = ["ThresholdRecommender"]
+__all__ = ["ThresholdRecommender", "rank_scores"]
+
+
+def rank_scores(
+    scores: np.ndarray,
+    history: list[int],
+    *,
+    threshold: float | None = None,
+    k: int | None = None,
+) -> list[tuple[int, float]]:
+    """Rank one precomputed score row into ``(token, score)`` pairs.
+
+    The one ranking rule of the recommender: products in ``history`` are
+    never eligible, ``threshold`` (when given) keeps only scores ``>=`` it,
+    and the survivors are sorted by descending score, ties broken by
+    ascending token id.  ``k`` keeps the best ``k``.
+    """
+    eligible = np.ones(len(scores), dtype=bool)
+    if history:
+        eligible[np.asarray(history, dtype=np.intp)] = False
+    if threshold is not None:
+        eligible &= scores >= threshold
+    candidates = np.flatnonzero(eligible)
+    # Stable argsort of the negated scores keeps ascending-token order
+    # within each tied score group.
+    ranked = candidates[np.argsort(-scores[candidates], kind="stable")][:k]
+    return [(int(t), float(scores[t])) for t in ranked]
 
 
 class ThresholdRecommender:
@@ -38,13 +64,6 @@ class ThresholdRecommender:
         """
         return self.model.next_product_proba(self.model.validate_history(history))
 
-    def _owned_mask(self, history: list[int], size: int) -> np.ndarray:
-        """Boolean mask of the products the company already owns."""
-        owned = np.zeros(size, dtype=bool)
-        if history:
-            owned[np.asarray(history, dtype=np.intp)] = True
-        return owned
-
     def recommend_scored(
         self, history: list[int], *, threshold: float | None = None
     ) -> list[tuple[int, float]]:
@@ -54,16 +73,7 @@ class ThresholdRecommender:
         """
         phi = self.threshold if threshold is None else check_probability(threshold, "threshold")
         clean = self.model.validate_history(history)
-        scores = self.model.next_product_proba(clean)
-        eligible = (scores >= phi) & ~self._owned_mask(clean, len(scores))
-        candidates = np.flatnonzero(eligible)
-        if len(candidates) == 0:
-            return []
-        # Stable argsort of the negated scores keeps ascending-token order
-        # within each tied score group.
-        order = np.argsort(-scores[candidates], kind="stable")
-        ranked = candidates[order]
-        return [(int(t), float(scores[t])) for t in ranked]
+        return rank_scores(self.model.next_product_proba(clean), clean, threshold=phi)
 
     def recommend(
         self, history: list[int], *, threshold: float | None = None
@@ -79,7 +89,5 @@ class ThresholdRecommender:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         clean = self.model.validate_history(history)
-        scores = self.model.next_product_proba(clean)
-        candidates = np.flatnonzero(~self._owned_mask(clean, len(scores)))
-        order = np.argsort(-scores[candidates], kind="stable")
-        return [int(t) for t in candidates[order][:k]]
+        ranked = rank_scores(self.model.next_product_proba(clean), clean, k=k)
+        return [token for token, __ in ranked]

@@ -1,17 +1,19 @@
 """Degradation ladder: LDA → n-gram → popularity prior.
 
-A request's scoring walks an ordered list of tiers.  Each model tier is
-guarded by a :class:`~repro.serve.breaker.CircuitBreaker` and runs inside
-the request's remaining deadline budget; a tier that is skipped (breaker
-open, budget exhausted), raises, or times out simply hands the request to
-the next tier.  The final *floor* tier — a precomputed popularity prior —
-is pure array lookup: it cannot fail and needs no budget, so every request
-that passes admission gets an answer.  The answering tier is reported in
-the result so callers can tell a degraded answer from a full one.
+A scoring call walks an ordered list of tiers with a batch of requests; a
+single request is a batch of one.  Each model tier is guarded by a
+:class:`~repro.serve.breaker.CircuitBreaker` and runs inside the batch's
+remaining deadline budget; a tier that is skipped (breaker open, budget
+exhausted), raises, or times out hands the whole batch to the next tier.
+The final *floor* tier — a precomputed popularity prior — is pure array
+lookup: it cannot fail and needs no budget, so every request that passes
+admission gets an answer.  The answering tier is reported in the result so
+callers can tell a degraded answer from a full one.
 
 Timed-out model calls run in abandoned daemon threads: the ladder cannot
 preempt a numpy kernel (or an injected hang), so it stops *waiting* and
 degrades, which is exactly the behaviour the deadline budget promises.
+:meth:`DegradationLadder.abandoned` counts the ones still running.
 """
 
 from __future__ import annotations
@@ -28,13 +30,9 @@ from repro.serve.breaker import CircuitBreaker
 
 __all__ = ["Tier", "TierOutcome", "LadderResult", "DegradationLadder"]
 
-#: Scorer signature: (history tokens, threshold override, top_n) ->
-#: ``[(token, score), ...]`` best-first.
-Scorer = Callable[[list[int], float | None, int], list[tuple[int, float]]]
-
-#: Batched scorer signature: (histories, thresholds, top_ns) -> one ranked
-#: list per history, in order.
-BatchScorer = Callable[
+#: Scorer signature: (histories, thresholds, top_ns) -> one
+#: ``[(token, score), ...]`` best-first list per history, in order.
+Scorer = Callable[
     [list[list[int]], list[float | None], list[int]],
     list[list[tuple[int, float]]],
 ]
@@ -42,17 +40,11 @@ BatchScorer = Callable[
 
 @dataclass
 class Tier:
-    """One rung of the ladder: a named scorer behind an optional breaker.
-
-    ``batch_scorer``, when present, answers a whole coalesced batch in one
-    call (one GEMM); tiers without one are looped per-request inside the
-    same guarded worker when a batch reaches them.
-    """
+    """One rung of the ladder: a named batch scorer behind an optional breaker."""
 
     name: str
     scorer: Scorer
     breaker: CircuitBreaker | None = None
-    batch_scorer: BatchScorer | None = None
 
 
 @dataclass(frozen=True)
@@ -104,26 +96,35 @@ class DegradationLadder:
         self.tiers = list(tiers)
         self.floor = floor
         self._clock = clock
+        self._abandoned = {t.name: 0 for t in tiers}
+        self._abandoned_lock = threading.Lock()
 
     @property
     def tier_names(self) -> list[str]:
         """All tier names, strongest first, floor last."""
         return [t.name for t in self.tiers] + [self.floor.name]
 
+    def abandoned(self) -> dict[str, int]:
+        """Per tier, the timed-out scorer threads that are still running."""
+        with self._abandoned_lock:
+            return dict(self._abandoned)
+
     # ------------------------------------------------------------------
-    def _run_guarded(
+    def _run_tier(
         self,
         tier: Tier,
-        history: list[int],
-        threshold: float | None,
-        top_n: int,
+        histories: list[list[int]],
+        thresholds: list[float | None],
+        top_ns: list[int],
         budget_s: float,
-    ) -> tuple[str, list[tuple[int, float]] | None, float, str | None]:
-        """Run one tier's scorer in a worker thread under ``budget_s``.
+    ) -> tuple[str, list[list[tuple[int, float]]] | None, float, str | None]:
+        """Run one tier's scorer over the batch in a worker under ``budget_s``.
 
-        Returns ``(status, result, latency, error)``.  On timeout the
-        worker thread is abandoned (daemon) — its eventual result is
-        discarded and its outcome is reported to the breaker as a failure.
+        Returns ``(status, rankings, latency, error)``.  A scorer that
+        returns the wrong number of rankings is an error: the batch can
+        never half-answer.  On timeout the worker thread is abandoned
+        (daemon) — its eventual result is discarded and it is counted in
+        :meth:`abandoned` until it finishes.
         """
         box: dict[str, object] = {}
         done = threading.Event()
@@ -138,11 +139,20 @@ class DegradationLadder:
         def worker() -> None:
             try:
                 faults.inject(f"serve/score/{tier.name}")
-                box["value"] = context.run(tier.scorer, history, threshold, top_n)
+                value = context.run(tier.scorer, histories, thresholds, top_ns)
+                if len(value) != len(histories):
+                    raise RuntimeError(
+                        f"tier {tier.name} returned {len(value)} rankings for "
+                        f"{len(histories)} histories"
+                    )
+                box["value"] = value
             except BaseException as exc:  # noqa: BLE001 - reported, never raised
                 box["error"] = exc
             finally:
-                done.set()
+                with self._abandoned_lock:
+                    done.set()
+                    if box.get("abandoned"):
+                        self._abandoned[tier.name] -= 1
 
         started = self._clock()
         thread = threading.Thread(
@@ -152,21 +162,29 @@ class DegradationLadder:
         finished = done.wait(budget_s)
         latency = self._clock() - started
         if not finished:
+            with self._abandoned_lock:
+                if not done.is_set():
+                    box["abandoned"] = True
+                    self._abandoned[tier.name] += 1
             return "timeout", None, latency, f"exceeded budget of {budget_s:.3f}s"
         if "error" in box:
             error = box["error"]
             return "error", None, latency, f"{type(error).__name__}: {error}"
         return "ok", box["value"], latency, None  # type: ignore[return-value]
 
-    def score(
+    def _walk(
         self,
-        history: list[int],
-        *,
+        histories: list[list[int]],
+        thresholds: list[float | None],
+        top_ns: list[int],
         deadline_s: float,
-        threshold: float | None = None,
-        top_n: int = 5,
-    ) -> LadderResult:
-        """Answer from the strongest tier the budget and breakers allow."""
+    ) -> list[LadderResult]:
+        """Answer every history from the strongest tier available.
+
+        Tier skips, timeouts and errors degrade the whole batch to the
+        next tier together; the popularity floor always answers.  Every
+        result carries the same per-tier audit trail.
+        """
         if deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
         started = self._clock()
@@ -185,97 +203,54 @@ class DegradationLadder:
                 outcomes.append(TierOutcome(tier.name, "no_budget"))
                 continue
             with trace.span(f"serve.score.{tier.name}"):
-                status, result, latency, error = self._run_guarded(
-                    tier, history, threshold, top_n, remaining
+                status, rankings, latency, error = self._run_tier(
+                    tier, histories, thresholds, top_ns, remaining
                 )
             if status == "ok":
                 if breaker is not None:
                     breaker.record_success(latency)
                 outcomes.append(TierOutcome(tier.name, "ok", latency))
-                assert result is not None
-                return LadderResult(
-                    tier=tier.name,
-                    recommendations=result[:top_n],
-                    degraded=tier is not self.tiers[0],
-                    outcomes=tuple(outcomes),
+                assert rankings is not None
+                return self._results(
+                    tier.name, rankings, top_ns, tier is not self.tiers[0], outcomes
                 )
             if breaker is not None:
                 breaker.record_failure(latency, reason=status)
             outcomes.append(TierOutcome(tier.name, status, latency, error))
         with trace.span(f"serve.score.{self.floor.name}"):
             floor_started = self._clock()
-            result = self.floor.scorer(history, threshold, top_n)
+            rankings = self.floor.scorer(histories, thresholds, top_ns)
             outcomes.append(
                 TierOutcome(self.floor.name, "ok", self._clock() - floor_started)
             )
-        return LadderResult(
-            tier=self.floor.name,
-            recommendations=result[:top_n],
-            degraded=bool(self.tiers),
-            outcomes=tuple(outcomes),
+        return self._results(
+            self.floor.name, rankings, top_ns, bool(self.tiers), outcomes
         )
 
-    # ------------------------------------------------------------------
-    # Batched walk
-    # ------------------------------------------------------------------
-    def _run_guarded_batch(
-        self,
-        tier: Tier,
-        histories: list[list[int]],
-        thresholds: list[float | None],
+    @staticmethod
+    def _results(
+        tier: str,
+        rankings: list[list[tuple[int, float]]],
         top_ns: list[int],
-        budget_s: float,
-    ) -> tuple[str, list[list[tuple[int, float]]] | None, float, str | None]:
-        """Run one tier over a whole batch in a worker thread under budget.
+        degraded: bool,
+        outcomes: list[TierOutcome],
+    ) -> list[LadderResult]:
+        shared = tuple(outcomes)
+        return [
+            LadderResult(tier, ranking[:top_n], degraded, shared)
+            for ranking, top_n in zip(rankings, top_ns)
+        ]
 
-        One guarded call answers every batch member: the tier's
-        ``batch_scorer`` when it has one (the single-GEMM path), otherwise
-        the per-request scorer looped inside the same worker.  Timeout and
-        error semantics match :meth:`_run_guarded` — the whole batch
-        degrades to the next tier together; it can never half-answer.
-        """
-        box: dict[str, object] = {}
-        done = threading.Event()
-        context = contextvars.copy_context()
-
-        def worker() -> None:
-            try:
-                faults.inject(f"serve/score/{tier.name}")
-                if tier.batch_scorer is not None:
-                    value = context.run(
-                        tier.batch_scorer, histories, thresholds, top_ns
-                    )
-                else:
-                    value = [
-                        context.run(tier.scorer, history, threshold, top_n)
-                        for history, threshold, top_n in zip(
-                            histories, thresholds, top_ns
-                        )
-                    ]
-                if len(value) != len(histories):
-                    raise RuntimeError(
-                        f"tier {tier.name} returned {len(value)} rankings for "
-                        f"{len(histories)} histories"
-                    )
-                box["value"] = value
-            except BaseException as exc:  # noqa: BLE001 - reported, never raised
-                box["error"] = exc
-            finally:
-                done.set()
-
-        started = self._clock()
-        thread = threading.Thread(
-            target=worker, name=f"serve-score-batch-{tier.name}", daemon=True
-        )
-        thread.start()
-        finished = done.wait(budget_s)
-        latency = self._clock() - started
-        if not finished:
-            return "timeout", None, latency, f"exceeded budget of {budget_s:.3f}s"
-        if "error" in box:
-            error = box["error"]
-            return "error", None, latency, f"{type(error).__name__}: {error}"
-        return "ok", box["value"], latency, None  # type: ignore[return-value]
+    def score(
+        self,
+        history: list[int],
+        *,
+        deadline_s: float,
+        threshold: float | None = None,
+        top_n: int = 5,
+    ) -> LadderResult:
+        """Answer one request: the walk over a batch of one."""
+        return self._walk([history], [threshold], [top_n], deadline_s)[0]
 
     def score_batch(
         self,
@@ -289,11 +264,7 @@ class DegradationLadder:
 
         ``deadline_s`` is the batch's shared budget — the coalescing layer
         passes the *minimum* remaining budget of the batch members, so no
-        member is held past its own deadline.  Tier skips, timeouts and
-        errors degrade the whole batch to the next tier together; the
-        popularity floor answers each member individually, so every
-        admitted request in the batch always gets an answer.  Each result
-        carries the same per-tier audit trail the single path reports.
+        member is held past its own deadline.
         """
         n = len(histories)
         if n == 0:
@@ -304,60 +275,4 @@ class DegradationLadder:
             top_ns = [5] * n
         if len(thresholds) != n or len(top_ns) != n:
             raise ValueError("thresholds and top_ns must match the batch size")
-        if deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
-        started = self._clock()
-        outcomes: list[TierOutcome] = []
-        for tier in self.tiers:
-            breaker = tier.breaker
-            if breaker is not None and not breaker.allow():
-                outcomes.append(TierOutcome(tier.name, "breaker_open"))
-                continue
-            remaining = deadline_s - (self._clock() - started)
-            if remaining <= 0:
-                if breaker is not None:
-                    breaker.cancel()
-                outcomes.append(TierOutcome(tier.name, "no_budget"))
-                continue
-            with trace.span(f"serve.score_batch.{tier.name}"):
-                status, results, latency, error = self._run_guarded_batch(
-                    tier, histories, thresholds, top_ns, remaining
-                )
-            if status == "ok":
-                if breaker is not None:
-                    breaker.record_success(latency)
-                outcomes.append(TierOutcome(tier.name, "ok", latency))
-                assert results is not None
-                shared = tuple(outcomes)
-                degraded = tier is not self.tiers[0]
-                return [
-                    LadderResult(
-                        tier=tier.name,
-                        recommendations=results[i][: top_ns[i]],
-                        degraded=degraded,
-                        outcomes=shared,
-                    )
-                    for i in range(n)
-                ]
-            if breaker is not None:
-                breaker.record_failure(latency, reason=status)
-            outcomes.append(TierOutcome(tier.name, status, latency, error))
-        with trace.span(f"serve.score_batch.{self.floor.name}"):
-            floor_started = self._clock()
-            floor_results = [
-                self.floor.scorer(history, threshold, top_n)
-                for history, threshold, top_n in zip(histories, thresholds, top_ns)
-            ]
-            outcomes.append(
-                TierOutcome(self.floor.name, "ok", self._clock() - floor_started)
-            )
-        shared = tuple(outcomes)
-        return [
-            LadderResult(
-                tier=self.floor.name,
-                recommendations=floor_results[i][: top_ns[i]],
-                degraded=bool(self.tiers),
-                outcomes=shared,
-            )
-            for i in range(n)
-        ]
+        return self._walk(histories, thresholds, top_ns, deadline_s)

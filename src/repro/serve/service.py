@@ -52,8 +52,6 @@ import urllib.parse
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-import numpy as np
-
 from repro.data.corpus import Corpus
 from repro.obs import context as obs_context
 from repro.obs import prom, trace
@@ -63,6 +61,7 @@ from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.obs.profile import SamplingProfiler
 from repro.obs.slo import Objective, SLOMonitor
 from repro.data.linkage import EntityResolver
+from repro.recommend.recommender import rank_scores
 from repro.serve.admission import AdmissionError, AdmissionPolicy, QuarantineLog
 from repro.serve.batch import MicroBatcher
 from repro.serve.breaker import CircuitBreaker
@@ -156,7 +155,7 @@ class ServiceConfig:
     # -- serving speed --------------------------------------------------
     #: Micro-batching window for coalescing concurrent /recommend scoring
     #: into one batched GEMM.  0 disables batching entirely: every request
-    #: scores on the single path, bit-identical to the historical service.
+    #: is scored as a batch of one.
     batch_window_ms: float = 0.0
     #: Hard cap on coalesced batch size; a full batch executes at once.
     batch_max: int = 16
@@ -330,7 +329,7 @@ class RecommendationService:
             [
                 Tier(
                     name,
-                    self._tier_scorer(name),
+                    self._model_scorer(name),
                     breaker=CircuitBreaker(
                         name,
                         failure_threshold=self.config.breaker_failure_threshold,
@@ -340,7 +339,6 @@ class RecommendationService:
                         clock=clock,
                         on_transition=self._on_breaker_transition,
                     ),
-                    batch_scorer=self._tier_batch_scorer(name),
                 )
                 for name in tiers
             ],
@@ -355,8 +353,7 @@ class RecommendationService:
         )
         self.batcher = (
             MicroBatcher(
-                self._score_single,
-                self._score_batched,
+                self._score_batch,
                 window_s=self.config.batch_window_ms / 1000.0,
                 batch_max=self.config.batch_max,
                 wait_fraction=self.config.batch_wait_fraction,
@@ -440,6 +437,8 @@ class RecommendationService:
                     {"tier": tier.name},
                     _BREAKER_STATE_VALUE.get(tier.breaker.state, -1.0),
                 )
+        for name, count in self.ladder.abandoned().items():
+            self._set_gauge("serve.ladder.abandoned", {"tier": name}, count)
         with self._inflight_lock:
             by_endpoint = dict(self._inflight_by_endpoint)
         for endpoint, value in by_endpoint.items():
@@ -448,36 +447,17 @@ class RecommendationService:
     # ------------------------------------------------------------------
     # Tier scorers
     # ------------------------------------------------------------------
-    def _tier_scorer(self, name: str):
-        def scorer(
-            history: list[int], threshold: float | None, top_n: int
-        ) -> list[tuple[int, float]]:
-            recommender = self.registry.recommender(name)
-            scored = recommender.recommend_scored(list(history), threshold=threshold)
-            if scored:
-                return scored[:top_n]
-            # Nothing above phi: still answer with the best unowned
-            # candidates so a degraded tier never goes silent.
-            scores = recommender.scores(list(history))
-            return [
-                (token, float(scores[token]))
-                for token in recommender.top_k(list(history), top_n)
-            ]
-
-        return scorer
-
-    def _tier_batch_scorer(self, name: str):
-        """Batched twin of :meth:`_tier_scorer`: one GEMM, per-row ranking.
+    def _model_scorer(self, name: str):
+        """A model tier's scorer: one probability matrix, ranked per row.
 
         ``batch_next_product_proba`` scores every history in a single
-        model call (LDA's batched fold-in is one matrix product); the
-        per-row thresholding/ranking then mirrors
-        ``ThresholdRecommender.recommend_scored`` / ``top_k`` exactly —
-        same eligibility rule, same stable tie-break — so a batched answer
-        is bit-identical to the single-request path's.
+        model call (LDA's batched fold-in is one matrix product); each row
+        is then ranked by the library's rule (:func:`rank_scores`).  When
+        nothing clears phi the tier answers with the best unowned products,
+        so a degraded tier never goes silent.
         """
 
-        def batch_scorer(
+        def scorer(
             histories: list[list[int]],
             thresholds: list[float | None],
             top_ns: list[int],
@@ -487,49 +467,26 @@ class RecommendationService:
             clean = [model.validate_history(list(h)) for h in histories]
             matrix = model.batch_next_product_proba(clean)
             results: list[list[tuple[int, float]]] = []
-            for i, history in enumerate(clean):
-                scores = matrix[i]
-                phi = (
-                    recommender.threshold
-                    if thresholds[i] is None
-                    else thresholds[i]
+            for scores, history, threshold, top_n in zip(
+                matrix, clean, thresholds, top_ns
+            ):
+                phi = recommender.threshold if threshold is None else threshold
+                results.append(
+                    rank_scores(scores, history, threshold=phi, k=top_n)
+                    or rank_scores(scores, history, k=top_n)
                 )
-                owned = np.zeros(scores.shape[0], dtype=bool)
-                if history:
-                    owned[np.asarray(history, dtype=np.intp)] = True
-                eligible = np.flatnonzero((scores >= phi) & ~owned)
-                if len(eligible) == 0:
-                    # Nothing above phi: same best-unowned fallback as the
-                    # single path, so the tier never goes silent.
-                    eligible = np.flatnonzero(~owned)
-                order = np.argsort(-scores[eligible], kind="stable")
-                ranked = eligible[order][: top_ns[i]]
-                results.append([(int(t), float(scores[t])) for t in ranked])
             return results
 
-        return batch_scorer
+        return scorer
 
-    # ------------------------------------------------------------------
-    # Batching entry points (MicroBatcher callbacks)
-    # ------------------------------------------------------------------
-    def _score_single(
-        self,
-        history: list[int],
-        threshold: float | None,
-        top_n: int,
-        deadline_s: float,
-    ):
-        return self.ladder.score(
-            history, deadline_s=deadline_s, threshold=threshold, top_n=top_n
-        )
-
-    def _score_batched(
+    def _score_batch(
         self,
         histories: list[list[int]],
         thresholds: list[float | None],
         top_ns: list[int],
         budget_s: float,
     ):
+        """The micro-batcher's scoring callable: one ladder walk."""
         return self.ladder.score_batch(
             histories, deadline_s=budget_s, thresholds=thresholds, top_ns=top_ns
         )
@@ -577,19 +534,19 @@ class RecommendationService:
 
     def _popularity_scorer(self):
         counts = self.corpus.binary_matrix().sum(axis=0)
-        popularity = counts / counts.sum()
+        ranked = rank_scores(counts / counts.sum(), [])
 
         def scorer(
-            history: list[int], threshold: float | None, top_n: int
-        ) -> list[tuple[int, float]]:
-            del threshold  # the floor ignores phi: it always answers
-            owned = set(history)
-            ranked = [
-                (int(token), float(popularity[token]))
-                for token in popularity.argsort()[::-1]
-                if int(token) not in owned
-            ]
-            return ranked[:top_n]
+            histories: list[list[int]],
+            thresholds: list[float | None],
+            top_ns: list[int],
+        ) -> list[list[tuple[int, float]]]:
+            del thresholds  # the floor ignores phi: it always answers
+            results = []
+            for history, top_n in zip(histories, top_ns):
+                owned = set(history)
+                results.append([pair for pair in ranked if pair[0] not in owned][:top_n])
+            return results
 
         return scorer
 

@@ -9,6 +9,7 @@ lets an out-of-vocabulary token reach a model.
 
 from __future__ import annotations
 
+import datetime as dt
 import json
 import threading
 import time
@@ -19,6 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.data.company import Company
+from repro.data.corpus import Corpus
+from repro.data.duns import DunsNumber
 from repro.models.ngram import NGramModel
 from repro.models.unigram import UnigramModel
 from repro.runtime import faults
@@ -358,20 +362,20 @@ class TestQuarantineLog:
 # Degradation ladder
 # ----------------------------------------------------------------------
 def _answer(token: int):
-    def scorer(history, threshold, top_n):
-        return [(token, 0.9)]
+    def scorer(histories, thresholds, top_ns):
+        return [[(token, 0.9)] for _ in histories]
 
     return scorer
 
 
-def _raises(history, threshold, top_n):
+def _raises(histories, thresholds, top_ns):
     raise RuntimeError("model exploded")
 
 
 def _sleeps(seconds: float):
-    def scorer(history, threshold, top_n):
+    def scorer(histories, thresholds, top_ns):
         time.sleep(seconds)
-        return [(7, 0.5)]
+        return [[(7, 0.5)] for _ in histories]
 
     return scorer
 
@@ -425,9 +429,9 @@ class TestDegradationLadder:
     def test_open_breaker_skips_without_calling_scorer(self):
         calls = []
 
-        def spy(history, threshold, top_n):
+        def spy(histories, thresholds, top_ns):
             calls.append(1)
-            return [(1, 0.9)]
+            return [[(1, 0.9)] for _ in histories]
 
         breaker = CircuitBreaker("a", failure_threshold=1, window=1)
         breaker.record_failure()
@@ -447,8 +451,8 @@ class TestDegradationLadder:
         assert result.outcomes[0].status == "breaker_open"
 
     def test_top_n_truncates(self):
-        def many(history, threshold, top_n):
-            return [(i, 1.0 - i / 10) for i in range(10)]
+        def many(histories, thresholds, top_ns):
+            return [[(i, 1.0 - i / 10) for i in range(10)] for _ in histories]
 
         ladder = self._ladder([Tier("a", many, CircuitBreaker("a"))])
         result = ladder.score([0], deadline_s=1.0, top_n=3)
@@ -689,14 +693,14 @@ class TestService:
             config=ServiceConfig(max_inflight=1, default_deadline_ms=2000.0),
         )
         # First request blocks inside scoring until the gate opens.
-        slow_recommender = service.registry.recommender("lda")
-        original = slow_recommender.recommend_scored
+        tier = service.ladder.tiers[0]
+        original = tier.scorer
 
-        def blocking(history, *, threshold=None):
+        def blocking(histories, thresholds, top_ns):
             gate.wait(2.0)
-            return original(history, threshold=threshold)
+            return original(histories, thresholds, top_ns)
 
-        slow_recommender.recommend_scored = blocking  # type: ignore[method-assign]
+        tier.scorer = blocking
         statuses = []
 
         def call():
@@ -743,6 +747,53 @@ class TestService:
         assert response.body["degraded"] is True
         assert response.body["tier"] in ("ngram", "popularity")
         assert response.body["outcomes"][0]["status"] == "timeout"
+
+    def test_abandoned_worker_gauge_tracks_hung_tier(
+        self, service, corpus, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAULTS", "hang:serve/score/lda:seconds=0.4")
+        gauge = 'serve.ladder.abandoned{tier="lda"}'
+        response = service.handle(
+            "POST", "/recommend", {"history": [corpus.vocabulary[0]], "deadline_ms": 50}
+        )
+        assert response.body["outcomes"][0]["status"] == "timeout"
+        assert service.metrics_snapshot()["gauges"][gauge] == 1
+        deadline = time.monotonic() + 5.0
+        while (
+            service.metrics_snapshot()["gauges"][gauge]
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.02)
+        # The hung worker finished: the gauge drops back.
+        assert service.metrics_snapshot()["gauges"][gauge] == 0
+
+    def test_popularity_floor_breaks_ties_by_token_id(self):
+        vocab = ("a", "b", "c", "d")
+        owned = [[0], [1, 2, 3], [1, 2, 3]]  # b, c, d tie at 2 installs
+        companies = [
+            Company(
+                duns=DunsNumber.from_sequence(i),
+                name=f"C{i}",
+                country="US",
+                sic2=80,
+                first_seen={vocab[t]: dt.date(2000, 1 + t, 1) for t in tokens},
+            )
+            for i, tokens in enumerate(owned)
+        ]
+        corpus = Corpus(companies, vocab)
+        floor_only = RecommendationService(
+            corpus=corpus, registry=ModelRegistry(corpus), tiers=()
+        )
+
+        def tokens(history):
+            body = floor_only.handle(
+                "POST", "/recommend", {"history": history, "top_n": 4}
+            ).body
+            assert body["tier"] == "popularity"
+            return [rec["token"] for rec in body["recommendations"]]
+
+        assert tokens([]) == [1, 2, 3, 0]
+        assert tokens(["c"]) == [1, 3, 0]
 
     def test_popularity_floor_always_answers(self, service, corpus, monkeypatch):
         monkeypatch.setenv(
